@@ -10,17 +10,18 @@ root so CI tracks the hybrid tier's perf trajectory across PRs:
    whole point of the hybrid design is gone.
 2. **Fidelity ratio** — the same profile at oracle-scale (full
    ``WindowsHost`` objects, per-host recounting) vs the pool tier,
-   reported for context.  No floor: the ratio is informative, the
-   aggregate floor above is the contract.
+   reported for context as a ratio of interleaved minimums (a single
+   sub-millisecond pool run is too noisy to divide by).  No floor: the
+   ratio is informative, the aggregate floor above is the contract.
 
 ``--quick`` shrinks the epoch count (never the 10^6 population — the
 floor is only meaningful at scale) so CI finishes in seconds.
 """
 
-import json
-import sys
 import time
 from pathlib import Path
+
+from _bench import interleaved_minimums, update_bench
 
 from repro.core import CampaignWorld
 from repro.epidemic import EpidemicModel, FullFidelityEpidemic
@@ -28,6 +29,7 @@ from repro.epidemic.scenarios import stuxnet_profile
 from repro.sim import Kernel
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_epidemic.json"
+BENCHMARK = "epidemic-hybrid-tier"
 
 #: Acceptance criterion: the aggregate tier must step at least this
 #: many host-epochs per second of wall time on the 10^6-host scenario.
@@ -37,30 +39,29 @@ POOL_HOSTS = 1_000_000
 ORACLE_HOSTS = 200
 
 
-def _update_bench(section, payload):
-    """Merge one section into BENCH_epidemic.json (any test order)."""
-    data = {}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except ValueError:
-            data = {}
-    data["benchmark"] = "epidemic-hybrid-tier"
-    data["python"] = sys.version.split()[0]
-    data[section] = payload
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
-
-
-def _run_pool(hosts, epochs, seed=2010):
-    """Build (untimed) then run (timed) one pool-tier epidemic."""
+def _build_pool(hosts, epochs, seed):
+    """A started pool-tier epidemic and the call that steps it to the
+    end."""
     kernel = Kernel(seed=seed)
     model = EpidemicModel(kernel, stuxnet_profile(), hosts, epochs)
     model.seed_initial(5)
     model.start()
+    return model, lambda: kernel.run(until=model.horizon_seconds())
+
+
+def _build_oracle(hosts, epochs, seed):
+    oracle = FullFidelityEpidemic(CampaignWorld(seed=seed),
+                                  stuxnet_profile(), hosts, epochs)
+    oracle.seed_initial(5)
+    return oracle
+
+
+def _run_pool(hosts, epochs, seed=2010):
+    """Build (untimed) then run (timed) one pool-tier epidemic."""
+    model, step = _build_pool(hosts, epochs, seed)
     start = time.perf_counter()
-    kernel.run(until=model.horizon_seconds())
-    elapsed = time.perf_counter() - start
-    return model, elapsed
+    step()
+    return model, time.perf_counter() - start
 
 
 def test_aggregate_stepping_meets_hosts_per_second_floor(quick):
@@ -70,14 +71,14 @@ def test_aggregate_stepping_meets_hosts_per_second_floor(quick):
     assert model.curve[-1]["cumulative"] > 5, "epidemic never spread"
     host_epochs = POOL_HOSTS * epochs
     rate = host_epochs / elapsed
-    _update_bench("aggregate_stepping", {
+    update_bench(BENCH_PATH, BENCHMARK, "aggregate_stepping", {
         "hosts": POOL_HOSTS,
         "epochs": epochs,
         "seconds": round(elapsed, 4),
         "host_epochs_per_second": round(rate, 1),
         "floor": HOSTS_PER_SECOND_FLOOR,
         "cumulative_infections": model.curve[-1]["cumulative"],
-    })
+    }, quick)
     assert rate >= HOSTS_PER_SECOND_FLOOR, (
         "aggregate tier stepped %d hosts x %d epochs at %.0f "
         "host-epochs/s — below the %.0f floor"
@@ -89,22 +90,24 @@ def test_fidelity_ratio_is_reported(quick):
     only — the differential suite owns correctness, the floor above
     owns performance."""
     epochs = 4 if quick else 8
-    model, pool_elapsed = _run_pool(ORACLE_HOSTS, epochs, seed=31)
-
-    world = CampaignWorld(seed=31)
-    oracle = FullFidelityEpidemic(world, stuxnet_profile(), ORACLE_HOSTS,
-                                  epochs)
-    oracle.seed_initial(5)
-    start = time.perf_counter()
+    rounds = 5 if quick else 9
+    oracle = _build_oracle(ORACLE_HOSTS, epochs, seed=31)
+    model, step = _build_pool(ORACLE_HOSTS, epochs, seed=31)
     oracle.run()
-    oracle_elapsed = time.perf_counter() - start
-
+    step()
     assert oracle.curve == model.curve
-    _update_bench("fidelity_ratio", {
+    # Build every round's runs up front: only stepping is timed.
+    oracles = [_build_oracle(ORACLE_HOSTS, epochs, seed=31).run
+               for _ in range(rounds)]
+    pools = [_build_pool(ORACLE_HOSTS, epochs, seed=31)[1]
+             for _ in range(rounds)]
+    oracle_s, pool_s = interleaved_minimums(
+        lambda: oracles.pop()(), lambda: pools.pop()(), rounds)
+    update_bench(BENCH_PATH, BENCHMARK, "fidelity_ratio", {
         "hosts": ORACLE_HOSTS,
         "epochs": epochs,
-        "pool_seconds": round(pool_elapsed, 4),
-        "oracle_seconds": round(oracle_elapsed, 4),
-        "oracle_over_pool": round(oracle_elapsed / max(pool_elapsed,
-                                                       1e-9), 2),
-    })
+        "rounds": rounds,
+        "pool_seconds": pool_s,
+        "oracle_seconds": oracle_s,
+        "oracle_over_pool": round(oracle_s / max(pool_s, 1e-9), 2),
+    }, quick)

@@ -16,34 +16,21 @@ repository root so CI can track the perf trajectory across PRs:
 -record query floor is always measured) so CI finishes in seconds.
 """
 
-import json
-import sys
 import time
 from pathlib import Path
+
+from _bench import update_bench
 
 from repro.sim import Kernel
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_kernel.json"
+BENCHMARK = "kernel-hot-path"
 
 #: Acceptance criterion: indexed queries on a >=100k-record trace must
 #: beat the seed linear scan by at least this factor.
 QUERY_SPEEDUP_FLOOR = 10.0
 
 TRACE_RECORDS = 100_000
-
-
-def _update_bench(section, payload):
-    """Merge one section into BENCH_kernel.json (tests run in any order)."""
-    data = {}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except ValueError:
-            data = {}
-    data["benchmark"] = "kernel-hot-path"
-    data["python"] = sys.version.split()[0]
-    data[section] = payload
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def _build_trace(records=TRACE_RECORDS):
@@ -114,15 +101,14 @@ def test_trace_query_index_speedup(quick):
                 "window-and-action")
     floor_speedup = min(sections[shape]["speedup"] for shape in asserted)
 
-    _update_bench("trace_query", {
+    update_bench(BENCH_PATH, BENCHMARK, "trace_query", {
         "records": len(trace),
         "repetitions": repetitions,
-        "quick": quick,
         "shapes": sections,
         "asserted_shapes": list(asserted),
         "min_asserted_speedup": floor_speedup,
         "speedup_floor": QUERY_SPEEDUP_FLOOR,
-    })
+    }, quick)
 
     print()
     for shape, section in sections.items():
@@ -157,12 +143,11 @@ def test_kernel_dispatch_throughput(quick):
     assert kernel.metrics.value("sim.events_dispatched") == events
 
     rate = events / wall if wall else float("inf")
-    _update_bench("dispatch", {
+    update_bench(BENCH_PATH, BENCHMARK, "dispatch", {
         "events": events,
-        "quick": quick,
         "wall_seconds": wall,
         "events_per_second": rate,
-    })
+    }, quick)
     print()
     print("dispatch: %d events in %.3fs -> %d events/s"
           % (events, wall, rate))
@@ -193,15 +178,14 @@ def test_cancellation_compaction_throughput(quick):
     assert heap_after_cancel <= 2 * survivors + \
         kernel._queue.COMPACT_MIN_GARBAGE
 
-    _update_bench("cancellation", {
+    update_bench(BENCH_PATH, BENCHMARK, "cancellation", {
         "scheduled": scheduled,
         "cancelled": scheduled,
         "survivors": survivors,
-        "quick": quick,
         "cancel_wall_seconds": cancel_wall,
         "heap_after_cancel": heap_after_cancel,
         "drain_wall_seconds": run_wall,
-    })
+    }, quick)
     print()
     print("cancellation: %d cancels in %.3fs, heap %d -> drain %.4fs"
           % (scheduled, cancel_wall, heap_after_cancel, run_wall))

@@ -22,10 +22,10 @@ true cost; a single wall-clock pair can swing 2x either way.
 ``--quick`` shrinks round/repetition counts so CI finishes in seconds.
 """
 
-import json
-import sys
 import time
 from pathlib import Path
+
+from _bench import interleaved_minimums, update_bench
 
 from repro.luavm.compiler import clear_compile_cache, compile_cache_stats
 from repro.luavm.interpreter import _to_lua
@@ -38,6 +38,7 @@ from repro.malware.flame.scripts import (
 )
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_luavm.json"
+BENCHMARK = "luavm-bytecode"
 
 #: Acceptance criterion: the bytecode backend must beat the tree walker
 #: by at least this factor on the Flame module workload.
@@ -53,20 +54,6 @@ MODULE_LOAD_FLOOR = 5.0
 FILE_BATCH = 8
 
 _EXTS = ("doc", "pdf", "jpg", "txt", "xls", "ppt", "dwg", "zip")
-
-
-def _update_bench(section, payload):
-    """Merge one section into BENCH_luavm.json (tests run in any order)."""
-    data = {}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except ValueError:
-            data = {}
-    data["benchmark"] = "luavm-bytecode"
-    data["python"] = sys.version.split()[0]
-    data[section] = payload
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def _host_fixtures():
@@ -100,19 +87,6 @@ def _replica_lifecycle(backend, sysinfo, files):
     return first, second
 
 
-def _interleaved_minimums(tree_fn, byte_fn, rounds):
-    """Alternate the two workloads and keep each side's best CPU time."""
-    tree_times, byte_times = [], []
-    for _ in range(rounds):
-        start = time.process_time()
-        tree_fn()
-        tree_times.append(time.process_time() - start)
-        start = time.process_time()
-        byte_fn()
-        byte_times.append(time.process_time() - start)
-    return min(tree_times), min(byte_times)
-
-
 def test_module_workload_speedup(quick):
     repetitions = 8 if quick else 20
     rounds = 5 if quick else 9
@@ -126,27 +100,26 @@ def test_module_workload_speedup(quick):
     byte_result = _replica_lifecycle("bytecode", sysinfo, files)
     assert byte_result == tree_result
 
-    tree_s, byte_s = _interleaved_minimums(
+    tree_s, byte_s = interleaved_minimums(
         lambda: [_replica_lifecycle("tree", sysinfo, files)
                  for _ in range(repetitions)],
         lambda: [_replica_lifecycle("bytecode", sysinfo, files)
                  for _ in range(repetitions)],
-        rounds,
+        rounds, clock=time.process_time,
     )
     speedup = tree_s / byte_s if byte_s else float("inf")
     cache = compile_cache_stats()
 
-    _update_bench("module_workload", {
+    update_bench(BENCH_PATH, BENCHMARK, "module_workload", {
         "file_batch": FILE_BATCH,
         "repetitions": repetitions,
         "rounds": rounds,
-        "quick": quick,
         "tree_cpu_seconds": tree_s,
         "bytecode_cpu_seconds": byte_s,
         "speedup": speedup,
         "speedup_floor": MODULE_WORKLOAD_FLOOR,
         "compile_cache": cache,
-    })
+    }, quick)
     print()
     print("module workload: tree %.4fs, bytecode %.4fs -> %.2fx "
           "(cache: %d entries, %d hits)"
@@ -180,22 +153,21 @@ def test_module_load_speedup(quick):
     load_all("tree")
     load_all("bytecode")
 
-    tree_s, byte_s = _interleaved_minimums(
+    tree_s, byte_s = interleaved_minimums(
         lambda: [load_all("tree") for _ in range(repetitions)],
         lambda: [load_all("bytecode") for _ in range(repetitions)],
-        rounds,
+        rounds, clock=time.process_time,
     )
     speedup = tree_s / byte_s if byte_s else float("inf")
 
-    _update_bench("module_load", {
+    update_bench(BENCH_PATH, BENCHMARK, "module_load", {
         "repetitions": repetitions,
         "rounds": rounds,
-        "quick": quick,
         "tree_cpu_seconds": tree_s,
         "bytecode_cpu_seconds": byte_s,
         "speedup": speedup,
         "speedup_floor": MODULE_LOAD_FLOOR,
-    })
+    }, quick)
     print()
     print("module load: tree %.4fs, bytecode %.4fs -> %.2fx"
           % (tree_s, byte_s, speedup))

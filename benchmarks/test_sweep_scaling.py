@@ -6,13 +6,9 @@ per-replica measurements and trace digests, and writes the wall-time
 comparison to ``BENCH_sweep.json`` at the repository root so CI can
 track the perf trajectory across PRs.
 
-Timing methodology mirrors ``test_perf_luavm.py``: interleaved
-serial/parallel rounds, keeping each side's minimum, reporting the
-ratio of minimums — the minimum of several rounds converges on the
-true cost, and interleaving cancels machine-load drift.  One deliberate
-difference: the luavm benchmark times ``process_time`` (CPU), but a
-process pool does its work in *children*, which ``process_time`` never
-sees — so this benchmark must time wall clock (``perf_counter``).
+Timing uses the shared harness's interleaved minimums
+(``benchmarks/_bench.py``) on wall clock: a process pool does its work
+in *children*, which the parent's CPU clock never sees.
 
 A warm-up round runs first, so the timed rounds measure the steady
 state the warm pool exists for: spec already shipped, compile caches
@@ -25,11 +21,9 @@ guarantees and the benchmark artefact are checked.  ``--quick``
 shrinks the replica count so CI finishes in seconds.
 """
 
-import json
-import os
-import sys
-import time
 from pathlib import Path
+
+from _bench import effective_cores, interleaved_minimums, update_bench
 
 from repro.core.ensemble import CampaignSpec
 from repro.sim.sweep import SweepConfig, run_sweep
@@ -46,28 +40,6 @@ MIN_CORES_FOR_SPEEDUP = 2
 
 WORKERS = 2
 BASE_SEED = 2013
-
-
-def effective_cores():
-    """Cores this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
-def _interleaved_minimums(serial_fn, parallel_fn, rounds):
-    """Alternate the two dispatch paths and keep each side's best
-    wall time (children do the parallel work, so CPU time would lie)."""
-    serial_times, parallel_times = [], []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        serial_fn()
-        serial_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        parallel_fn()
-        parallel_times.append(time.perf_counter() - start)
-    return min(serial_times), min(parallel_times)
 
 
 def test_sweep_scaling_serial_vs_warm_pool(quick):
@@ -101,7 +73,7 @@ def test_sweep_scaling_serial_vs_warm_pool(quick):
         result = run_sweep(spec, parallel_config)
         reused.append(result.dispatch["pool_reused"])
 
-    serial_s, parallel_s = _interleaved_minimums(
+    serial_s, parallel_s = interleaved_minimums(
         lambda: run_sweep(spec, serial_config),
         timed_parallel,
         rounds,
@@ -113,13 +85,7 @@ def test_sweep_scaling_serial_vs_warm_pool(quick):
     speedup = serial_s / parallel_s if parallel_s else float("inf")
     asserted = cores >= MIN_CORES_FOR_SPEEDUP
     payload = {
-        "benchmark": "sweep-scaling",
         "campaign": "stuxnet",
-        "quick": quick,
-        "python": sys.version.split()[0],
-        "cpu_count": os.cpu_count() or 1,
-        "effective_cores": cores,
-        "start_method": pool_start_method(),
         "replicas": replicas,
         "workers": WORKERS,
         "chunk_size": 1,
@@ -138,7 +104,7 @@ def test_sweep_scaling_serial_vs_warm_pool(quick):
     }
     # The artefact lands before the floor assertion on purpose: a slow
     # run must still leave the measurement for the CI upload to find.
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    update_bench(BENCH_PATH, "sweep-scaling", "scaling", payload, quick)
 
     print()
     print("sweep scaling (%d replicas, %d effective cores, %s): "

@@ -1,25 +1,28 @@
 """Supervised sweep execution: crash isolation, timeouts, quarantine.
 
-The plain parallel sweep path trusts its ``multiprocessing.Pool``
-completely: a worker that segfaults, gets OOM-killed, or spins forever
-inside a replica (easy to provoke via Flame's Lua-scripted modules)
-wedges or destroys the whole ensemble.  At the replica counts the
+Supervision is a *policy* over the one worker substrate,
+:class:`~repro.sim.workerpool.WarmPool`: the pool's dispatch loop
+consults it at every decision point, and this module keeps only the
+bookkeeping — attempts, history, quarantine records, spans and the
+report.  Without it, a worker that segfaults, gets OOM-killed, or spins
+forever inside a replica (easy to provoke via Flame's Lua-scripted
+modules) fails the whole ensemble.  At the replica counts the
 Monte-Carlo experiments call for, per-replica failure is a certainty,
-not an edge case — so this module replaces the pool with a real
-supervisor:
+not an edge case, so the policy turns each failure into one charged
+attempt:
 
-* **Crash isolation.**  Each worker is an owned ``Process`` with its
-  own task/result pipes.  A dead worker (detected by pipe EOF) costs
-  only its in-flight chunk: the replica it was running is charged one
-  failed attempt, the untouched remainder of the chunk is re-queued
-  as its own chunk (*re-splitting* — a poison replica never re-fails
-  its neighbours), and a fresh worker is spawned in its place.
-* **Timeouts and heartbeats.**  Every worker sends a ``start`` marker
-  per replica plus periodic heartbeats from a side thread.  A replica
-  that outlives ``replica_timeout`` is killed and charged a failed
-  attempt; a worker whose heartbeats stop (process frozen, not merely
-  slow) is killed the same way.  ``sweep_deadline`` bounds the whole
-  ensemble.
+* **Crash isolation.**  A dead worker (detected by pipe EOF, or by a
+  failed send to a worker that died while idle) costs only its
+  in-flight chunk: the replica it was running is charged one failed
+  attempt, the untouched remainder of the chunk is re-queued as its
+  own chunk (*re-splitting* — a poison replica never re-fails its
+  neighbours), and the pool respawns the slot.
+* **Timeouts and heartbeats.**  Workers send an ``S`` frame as each
+  replica starts and ``H`` heartbeat frames while a chunk is in
+  flight.  A replica that outlives ``replica_timeout`` is killed and
+  charged a failed attempt; a worker whose heartbeats stop (process
+  frozen, not merely slow) is killed the same way.  ``sweep_deadline``
+  bounds the whole ensemble.
 * **Bounded retry with quarantine.**  A failed replica is re-dispatched
   (as a singleton chunk, after a deterministic jittered backoff — see
   :func:`repro.sim.retry.deterministic_backoff`) until its attempts run
@@ -45,11 +48,8 @@ lazily inside functions to keep package import order acyclic.
 """
 
 import os
-import threading
+import signal
 import time
-from collections import deque
-from itertools import count
-from multiprocessing import connection as _connection
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import STATUS_ERROR, SpanRecorder
@@ -59,18 +59,21 @@ from repro.sim.errors import (
     SupervisionError,
 )
 from repro.sim.retry import RetryPolicy, deterministic_backoff
+from repro.sim.workerpool import DispatchPolicy
 
-#: How long an injected "hang"/"freeze" sleeps — far beyond any timeout
-#: a test or the chaos gate would configure, so the supervisor always
-#: wins the race.
+#: How long an injected "hang" sleeps — far beyond any timeout a test
+#: or the chaos gate would configure, so the supervisor always wins the
+#: race.
 _CHAOS_SLEEP_SECONDS = 3600.0
 
 #: Exit code an injected worker crash dies with (mimics ``os._exit``
 #: after a segfault handler; distinguishable in process tables).
 _CHAOS_EXIT_CODE = 70
 
-#: Wall-clock grace given to workers at shutdown before SIGKILL.
-_SHUTDOWN_GRACE_SECONDS = 2.0
+#: Metric charged when a worker is lost, by reason.
+_LOSS_METRICS = {"worker-crash": "supervisor.worker_crashes",
+                 "timeout": "supervisor.replica_timeouts",
+                 "hang": "supervisor.worker_hangs"}
 
 
 class ChaosPlan:
@@ -85,12 +88,14 @@ class ChaosPlan:
     * ``crash`` — ``os._exit`` the worker (crash isolation path);
     * ``hang`` — sleep forever while still heartbeating (replica
       wall-clock timeout path);
-    * ``freeze`` — sleep forever *and* stop heartbeating (hang
-      detection path);
+    * ``freeze`` — ``SIGSTOP`` the worker, heartbeat thread included
+      (hang detection path);
     * ``error`` — raise inside the replica (in-process failure path).
 
-    Used by the crash-injection test suite and the CI chaos gate; a
-    plan is plain data and crosses the process boundary with the task.
+    Used by the crash-injection test suite and the CI chaos gate.  A
+    non-empty plan is installed into a private pool's workers at spawn
+    as their :meth:`before_replica` hook; the production worker loop
+    carries no chaos code.
     """
 
     BEHAVIORS = ("ok", "crash", "hang", "freeze", "error")
@@ -117,6 +122,18 @@ class ChaosPlan:
         token = sequence[attempt - 1]
         return None if token == "ok" else token
 
+    def before_replica(self, index, attempt):
+        """Worker-side hook: act out ``attempt``'s behaviour for ``index``."""
+        behavior = self.behavior(index, attempt)
+        if behavior == "crash":
+            os._exit(_CHAOS_EXIT_CODE)
+        elif behavior == "freeze":
+            os.kill(os.getpid(), signal.SIGSTOP)
+        elif behavior == "hang":
+            time.sleep(_CHAOS_SLEEP_SECONDS)
+        elif behavior == "error":
+            raise RuntimeError("chaos: injected replica error")
+
     def __bool__(self):
         return bool(self._behaviors)
 
@@ -138,7 +155,9 @@ class SupervisorConfig:
     * ``on_failure`` — ``"quarantine"`` records a ``ReplicaFailure``
       and keeps sweeping; ``"fail"`` raises the typed error instead.
     * ``heartbeat_interval`` / ``hang_timeout`` — workers heartbeat
-      every ``heartbeat_interval`` seconds; a busy worker silent for
+      every ``heartbeat_interval`` seconds while a chunk is in flight
+      (the interval rides each task frame, so it never splits the
+      shared pool); a busy worker silent for
       ``hang_timeout`` (default ``20 x heartbeat_interval``) is treated
       as hung and killed.
     * ``retry_policy`` — the :class:`~repro.sim.retry.RetryPolicy`
@@ -207,87 +226,6 @@ class SupervisorConfig:
                    self.max_replica_retries, self.on_failure))
 
 
-# -- worker side ---------------------------------------------------------------
-
-def _worker_main(worker_id, spec, base_seed, tasks, results,
-                 heartbeat_interval):
-    """Supervised worker: run chunks off ``tasks``, report on ``results``.
-
-    The campaign spec and base seed arrive once, as process arguments —
-    a task is just the chunk's ``(index, chaos behaviour)`` items, so
-    the spec never crosses the task pipe (same warm-worker economics as
-    :mod:`repro.sim.workerpool`, which also supplies the compact binary
-    row an ``ok`` message carries instead of a pickled replica dict).
-
-    Protocol (all messages lead with a tag and the worker id):
-    ``("start", wid, index)`` before each replica, ``("ok", wid, index,
-    row_bytes)`` / ``("error", wid, index, type, detail)`` after it,
-    ``("idle", wid)`` after each chunk, ``("hb", wid, index)`` from the
-    heartbeat thread, ``("bye", wid)`` on orderly shutdown.  The
-    ``start`` marker is what lets the supervisor attribute a crash to
-    exactly one replica.
-    """
-    import repro.sim.poolwarm  # noqa: F401  (import side-effect warms caches)
-    from repro.core.ensemble import run_replica
-    from repro.sim.workerpool import encode_replica_row
-
-    send_lock = threading.Lock()
-    state = {"index": None, "stop": False, "frozen": False}
-
-    def send(message):
-        # Connection.send is not thread-safe; the heartbeat thread and
-        # the main loop share the pipe.
-        with send_lock:
-            results.send(message)
-
-    def beat():
-        while not (state["stop"] or state["frozen"]):
-            time.sleep(heartbeat_interval)
-            if state["stop"] or state["frozen"]:
-                return
-            try:
-                send(("hb", worker_id, state["index"]))
-            except OSError:
-                return
-
-    threading.Thread(target=beat, daemon=True).start()
-
-    try:
-        while True:
-            try:
-                task = tasks.recv()
-            except EOFError:
-                return
-            if task is None:
-                send(("bye", worker_id))
-                return
-            for index, behavior in task:
-                state["index"] = index
-                send(("start", worker_id, index))
-                if behavior == "crash":
-                    os._exit(_CHAOS_EXIT_CODE)
-                if behavior == "freeze":
-                    state["frozen"] = True
-                if behavior in ("hang", "freeze"):
-                    time.sleep(_CHAOS_SLEEP_SECONDS)
-                try:
-                    if behavior == "error":
-                        raise RuntimeError("chaos: injected replica error")
-                    replica = run_replica(spec, index, base_seed)
-                except Exception as exc:
-                    send(("error", worker_id, index,
-                          type(exc).__name__, str(exc)))
-                else:
-                    send(("ok", worker_id, index,
-                          encode_replica_row(replica)))
-                state["index"] = None
-            send(("idle", worker_id))
-    finally:
-        state["stop"] = True
-
-
-# -- supervisor side -----------------------------------------------------------
-
 class _WallClock:
     """Monotonic wall-clock shim so the supervisor can record spans.
 
@@ -303,348 +241,216 @@ class _WallClock:
         return time.perf_counter() - self._t0
 
 
-class _Worker:
-    """Supervisor-side handle for one worker process."""
-
-    __slots__ = ("wid", "process", "tasks", "results", "remaining",
-                 "current", "started", "last_beat", "span", "idle")
-
-    def __init__(self, wid, process, tasks, results, span):
-        self.wid = wid
-        self.process = process
-        self.tasks = tasks
-        self.results = results
-        self.span = span
-        self.remaining = []
-        self.current = None
-        self.started = None
-        self.last_beat = time.monotonic()
-        self.idle = True
-
-    @property
-    def busy(self):
-        return not self.idle
-
-
 class SupervisionOutcome:
     """What a supervised dispatch produced: results, failures, report."""
 
-    __slots__ = ("replicas", "failures", "report")
+    __slots__ = ("replicas", "failures", "report", "pool_reused")
 
-    def __init__(self, replicas, failures, report):
+    def __init__(self, replicas, failures, report, pool_reused=False):
         #: Completed :class:`ReplicaResult` objects, in index order.
         self.replicas = replicas
         #: :class:`ReplicaFailure` records, in index order.
         self.failures = failures
         #: Machine-readable supervision report (counters, spans).
         self.report = report
+        #: Whether the sweep ran on an already-warm shared pool.
+        self.pool_reused = pool_reused
 
     def __repr__(self):
         return ("SupervisionOutcome(%d replicas, %d failures)"
                 % (len(self.replicas), len(self.failures)))
 
 
-def supervise_sweep(spec, base_seed, pending, workers, chunk_size,
-                    supervision, record=None, record_failure=None):
-    """Run ``pending`` replica indices under supervision.
+class _Supervisor(DispatchPolicy):
+    """The supervision policy :meth:`WarmPool.run` consults.
 
-    ``record(replica)`` fires (in the supervisor process) the moment a
-    replica completes — the sweep manifest hook; ``record_failure``
-    fires when a replica is quarantined.  Returns a
-    :class:`SupervisionOutcome`; raises only for supervisor-level
-    breakdowns or, under ``on_failure="fail"``, the first quarantine.
+    Timers come from the :class:`SupervisorConfig`; a replica error or
+    a lost worker is charged to the replica via :meth:`_fail`, which
+    returns the retry delay (None once the replica is quarantined).
     """
-    from repro.core.ensemble import ReplicaFailure, replica_seed
-    from repro.sim.sweep import shard_chunks
-    from repro.sim.workerpool import decode_replica_row, pool_context
 
-    pending = list(pending)
-    clock = _WallClock()
-    spans = SpanRecorder(clock)
-    metrics = MetricsRegistry()
-    root = spans.begin("sweep.supervise", replicas=len(pending),
-                       workers=workers)
+    def __init__(self, base_seed, pending, workers, supervision,
+                 record_failure):
+        super().__init__()
+        self.base_seed = base_seed
+        self.pending = pending
+        self.workers = workers
+        self.supervision = supervision
+        self.record_failure = record_failure
+        self.heartbeat_interval = supervision.heartbeat_interval
+        self.poll_interval = supervision.poll_interval
+        self.replica_timeout = supervision.replica_timeout
+        self.hang_timeout = supervision.resolved_hang_timeout()
+        self.deadline_at = (time.monotonic() + supervision.sweep_deadline
+                            if supervision.sweep_deadline is not None
+                            else None)
+        self.attempts_allowed = supervision.max_replica_retries + 1
+        self.retry_policy = supervision.resolved_retry_policy()
+        self.clock = _WallClock()
+        self.spans = SpanRecorder(self.clock)
+        self.metrics = MetricsRegistry()
+        self.root = self.spans.begin("sweep.supervise",
+                                     replicas=len(pending), workers=workers)
+        self.attempts = {index: 0 for index in pending}
+        self.history = {index: [] for index in pending}
+        self.failures = {}
+        self.backoffs = {}
+        self.worker_spans = {}
+        self.restarts = 0
+        #: Every replica may legitimately kill a worker once per
+        #: attempt; anything far beyond that is the pool spinning on a
+        #: broken substrate, which must surface as an error, not a
+        #: busy loop.
+        self.restart_budget = (len(pending) * self.attempts_allowed
+                               + 2 * workers + 8)
+        self.salvaged = False
 
-    attempts_allowed = supervision.max_replica_retries + 1
-    chaos = supervision.chaos or ChaosPlan()
-    policy = supervision.resolved_retry_policy()
-    replica_timeout = supervision.replica_timeout
-    hang_timeout = supervision.resolved_hang_timeout()
-    deadline_at = (time.monotonic() + supervision.sweep_deadline
-                   if supervision.sweep_deadline is not None else None)
+    def attempt(self, index):
+        return self.attempts[index] + 1
 
-    attempts = {index: 0 for index in pending}
-    history = {index: [] for index in pending}
-    completed = {}
-    failures = {}
-    backoffs = {}
-    #: Chunks awaiting dispatch: (indices, earliest wall time to run).
-    ready = deque((list(chunk), 0.0)
-                  for chunk in shard_chunks(pending, chunk_size))
-    initial_chunks = len(ready)
-    target_workers = max(1, min(workers, initial_chunks))
+    def worker_joined(self, wid):
+        self.worker_spans[wid] = self.spans.begin(
+            "supervisor.worker", parent=self.root, worker=wid)
+        self.metrics.inc("supervisor.workers_spawned")
 
-    # Same warmed context as the plain warm pool: on the forkserver
-    # path repro.sim.poolwarm is preloaded into the server, so every
-    # worker — including each restart after a crash — is born with the
-    # Lua compile cache populated instead of paying cold-start again.
-    context = pool_context()
-    pool = {}
-    widgen = count(1)
-    restarts = 0
-    #: Every replica may legitimately kill a worker once per attempt;
-    #: anything far beyond that is the supervisor spinning on a broken
-    #: substrate, which must surface as an error, not a busy loop.
-    restart_budget = len(pending) * attempts_allowed + 2 * target_workers + 8
-    salvaged = False
+    def replica_started(self, index):
+        self.attempts[index] += 1
 
-    def spawn():
-        wid = next(widgen)
-        task_recv, task_send = context.Pipe(duplex=False)
-        result_recv, result_send = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_worker_main,
-            args=(wid, spec, base_seed, task_recv, result_send,
-                  supervision.heartbeat_interval),
-            daemon=True, name="sweep-worker-%d" % wid)
-        process.start()
-        # Close the parent's copies of the child's pipe ends: recv on
-        # the result pipe can then raise EOFError when the child dies,
-        # which is the crash-detection signal.
-        task_recv.close()
-        result_send.close()
-        span = spans.begin("supervisor.worker", parent=root, worker=wid)
-        worker = _Worker(wid, process, task_send, result_recv, span)
-        pool[wid] = worker
-        metrics.inc("supervisor.workers_spawned")
-        return worker
+    def replica_done(self, replica):
+        self.metrics.inc("supervisor.replicas_completed")
 
-    def event_span(name, status=None, **attrs):
-        span = spans.begin(name, parent=root, **attrs)
-        spans.finish(span, status or STATUS_ERROR)
+    def replica_error(self, index, kind, detail):
+        self.metrics.inc("supervisor.replica_errors")
+        return self._fail(index, "error", "%s: %s" % (kind, detail))
 
-    def fail_attempt(index, reason, detail=None):
-        """Charge one failed attempt; retry or quarantine."""
-        n = attempts[index]
-        history[index].append({"attempt": n, "reason": reason,
-                               "detail": detail})
-        if n >= attempts_allowed:
+    def worker_lost(self, worker, reason, detail):
+        self.metrics.inc(_LOSS_METRICS[reason])
+        self.restarts += 1
+        self.metrics.inc("supervisor.worker_restarts")
+        self.spans.finish(self.worker_spans.pop(worker.wid), STATUS_ERROR)
+        delay = None
+        if worker.current is not None:
+            delay = self._fail(worker.current, reason, detail)
+        if worker.remaining:
+            self.metrics.inc("supervisor.chunks_resplit")
+        if self.restarts > self.restart_budget:
+            raise SupervisionError(
+                "worker restart budget exhausted (%d restarts for a "
+                "%d-replica sweep): the substrate is failing faster "
+                "than replicas can complete"
+                % (self.restarts, len(self.pending)))
+        return delay
+
+    def deadline_expired(self):
+        self.salvaged = True
+        self.metrics.inc("supervisor.deadline_expired")
+
+    def _event_span(self, name, status=STATUS_ERROR, **attrs):
+        self.spans.finish(self.spans.begin(name, parent=self.root, **attrs),
+                          status)
+
+    def _fail(self, index, reason, detail):
+        """Charge one failed attempt; return the retry delay or None."""
+        from repro.core.ensemble import ReplicaFailure, replica_seed
+
+        n = self.attempts[index]
+        self.history[index].append({"attempt": n, "reason": reason,
+                                    "detail": detail})
+        if n >= self.attempts_allowed:
             failure = ReplicaFailure(
-                index=index, seed=replica_seed(base_seed, index),
+                index=index, seed=replica_seed(self.base_seed, index),
                 attempts=n, reason=reason, quarantined=True,
-                history=history[index])
-            failures[index] = failure
-            metrics.inc("supervisor.replicas_quarantined")
-            event_span("supervisor.quarantine", replica=index,
-                       reason=reason, attempts=n)
-            if record_failure is not None:
-                record_failure(failure)
-            if supervision.on_failure == "fail":
+                history=self.history[index])
+            self.failures[index] = failure
+            self.metrics.inc("supervisor.replicas_quarantined")
+            self._event_span("supervisor.quarantine", replica=index,
+                             reason=reason, attempts=n)
+            if self.record_failure is not None:
+                self.record_failure(failure)
+            if self.supervision.on_failure == "fail":
                 if reason == "timeout":
-                    raise ReplicaTimeoutError(index, n, replica_timeout)
+                    raise ReplicaTimeoutError(index, n, self.replica_timeout)
                 raise PoisonReplicaError(index, n, reason)
-            return
+            return None
         # Retry as a singleton chunk after a deterministic backoff: the
         # schedule is a pure function of (policy, base seed, replica
         # seed), so a re-run of the same degraded sweep retries on an
         # identical timetable.
-        schedule = backoffs.get(index)
+        schedule = self.backoffs.get(index)
         if schedule is None:
-            schedule = backoffs[index] = deterministic_backoff(
-                policy, base_seed, replica_seed(base_seed, index),
-                attempts=max(attempts_allowed - 1, 0))
+            schedule = self.backoffs[index] = deterministic_backoff(
+                self.retry_policy, self.base_seed,
+                replica_seed(self.base_seed, index),
+                attempts=max(self.attempts_allowed - 1, 0))
         delay = schedule[min(n, len(schedule)) - 1] if schedule else 0.0
-        ready.append(([index], time.monotonic() + delay))
-        metrics.inc("supervisor.replica_retries")
-        event_span("supervisor.retry", status="ok", replica=index,
-                   attempt=n, reason=reason, backoff=delay)
+        self.metrics.inc("supervisor.replica_retries")
+        self._event_span("supervisor.retry", status="ok", replica=index,
+                         attempt=n, reason=reason, backoff=delay)
+        return delay
 
-    def reap(worker, reason, detail=None):
-        """Kill/bury a worker; re-queue and re-split its chunk."""
-        nonlocal restarts
-        if worker.process.is_alive():
-            worker.process.kill()
-        worker.process.join()
-        worker.tasks.close()
-        worker.results.close()
-        del pool[worker.wid]
-        restarts += 1
-        metrics.inc("supervisor.worker_restarts")
-        spans.finish(worker.span, STATUS_ERROR)
-        if worker.current is not None:
-            fail_attempt(worker.current, reason, detail)
-        if worker.remaining:
-            # The untouched tail of the chunk is innocent: dispatch it
-            # as its own chunk so it never re-fails with the poison
-            # replica (chunk re-splitting).
-            ready.appendleft((list(worker.remaining), 0.0))
-            metrics.inc("supervisor.chunks_resplit")
-        if restarts > restart_budget:
-            raise SupervisionError(
-                "worker restart budget exhausted (%d restarts for a "
-                "%d-replica sweep): the substrate is failing faster "
-                "than replicas can complete" % (restarts, len(pending)))
+    def outcome(self, replicas, pool_reused):
+        """Salvage, close the spans, and build the report."""
+        from repro.core.ensemble import ReplicaFailure, replica_seed
 
-    def handle(worker, message):
-        tag = message[0]
-        now = time.monotonic()
-        worker.last_beat = now
-        if tag == "start":
-            index = message[2]
-            worker.current = index
-            worker.started = now
-            if index in worker.remaining:
-                worker.remaining.remove(index)
-            attempts[index] += 1
-        elif tag == "ok":
-            index, payload = message[2], message[3]
-            replica = decode_replica_row(payload, base_seed)
-            if record is not None:
-                record(replica)
-            completed[index] = replica
-            worker.current = None
-            worker.started = None
-            metrics.inc("supervisor.replicas_completed")
-        elif tag == "error":
-            index, kind, detail = message[2], message[3], message[4]
-            worker.current = None
-            worker.started = None
-            metrics.inc("supervisor.replica_errors")
-            fail_attempt(index, "error", "%s: %s" % (kind, detail))
-        elif tag == "idle":
-            worker.idle = True
-            worker.current = None
-            worker.started = None
-            worker.remaining = []
-        # "hb" and "bye" only refresh last_beat, done above.
+        completed = {replica.index for replica in replicas}
+        if self.salvaged:
+            # Deadline salvage: whatever never completed is recorded as
+            # a retriable (non-quarantined) failure — resume re-runs it.
+            for index in self.pending:
+                if index not in completed and index not in self.failures:
+                    self.failures[index] = ReplicaFailure(
+                        index=index,
+                        seed=replica_seed(self.base_seed, index),
+                        attempts=self.attempts[index], reason="deadline",
+                        quarantined=False, history=self.history[index])
+        for span in self.worker_spans.values():
+            self.spans.finish(span)
+        self.spans.finish(self.root,
+                          STATUS_ERROR if self.salvaged else "ok")
+        report = {
+            "workers": self.workers,
+            "worker_restarts": self.restarts,
+            "replicas_completed": len(completed),
+            "replicas_failed": len(self.failures),
+            "quarantined": sorted(index for index, failure
+                                  in self.failures.items()
+                                  if failure.quarantined),
+            "salvaged": self.salvaged,
+            "wall_seconds": self.clock.now,
+            "metrics": self.metrics.snapshot(),
+            "spans": [span.as_dict() for span in self.spans],
+        }
+        return SupervisionOutcome(
+            replicas=sorted(replicas, key=lambda replica: replica.index),
+            failures=[self.failures[index]
+                      for index in sorted(self.failures)],
+            report=report, pool_reused=pool_reused)
 
-    def dispatch():
-        now = time.monotonic()
-        idle = [worker for worker in pool.values() if worker.idle]
-        for _ in range(len(ready)):
-            if not idle:
-                return
-            chunk, not_before = ready[0]
-            if not_before > now:
-                # Not due yet (retry backoff): rotate past it so due
-                # chunks behind it still dispatch this round.
-                ready.rotate(-1)
-                continue
-            ready.popleft()
-            worker = idle.pop()
-            items = [(index, chaos.behavior(index, attempts[index] + 1))
-                     for index in chunk]
-            worker.tasks.send(items)
-            worker.idle = False
-            worker.remaining = list(chunk)
-            worker.current = None
-            worker.started = None
-            worker.last_beat = now
 
-    def next_wakeup():
-        """Shortest sleep that cannot miss a timeout or a due retry."""
-        timeout = supervision.poll_interval
-        now = time.monotonic()
-        for chunk, not_before in ready:
-            if not_before > now:
-                timeout = min(timeout, not_before - now)
-        return max(timeout, 0.001)
+def supervise_sweep(spec, base_seed, pending, workers, chunk_size,
+                    supervision, record=None, record_failure=None,
+                    pool_warm=False):
+    """Run ``pending`` replica indices under supervision.
 
-    def police(now):
-        for worker in list(pool.values()):
-            if worker.idle:
-                continue
-            if worker.current is not None and replica_timeout is not None \
-                    and now - worker.started > replica_timeout:
-                metrics.inc("supervisor.replica_timeouts")
-                reap(worker, "timeout",
-                     "exceeded %.3fs wall-clock timeout" % replica_timeout)
-            elif now - worker.last_beat > hang_timeout:
-                metrics.inc("supervisor.worker_hangs")
-                reap(worker, "hang",
-                     "no heartbeat for %.3fs" % (now - worker.last_beat))
+    ``record(replica)`` fires (in the supervisor process) the moment a
+    replica completes — the sweep manifest hook; ``record_failure``
+    fires when a replica is quarantined.  Dispatch goes through the
+    sweep's warm-pool lifecycle: the process-wide shared pool when
+    ``pool_warm`` is set and no chaos plan is installed, a private pool
+    closed with the sweep otherwise.  Returns a
+    :class:`SupervisionOutcome`; raises only for supervisor-level
+    breakdowns or, under ``on_failure="fail"``, the first quarantine.
+    """
+    from repro.sim.sweep import _dispatch_warm_pool, shard_chunks
 
-    def shutdown():
-        grace_until = time.monotonic() + _SHUTDOWN_GRACE_SECONDS
-        for worker in pool.values():
-            if worker.idle:
-                try:
-                    worker.tasks.send(None)
-                except OSError:
-                    worker.process.kill()
-            else:
-                worker.process.kill()
-        for worker in pool.values():
-            worker.process.join(max(grace_until - time.monotonic(), 0.0))
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join()
-            worker.tasks.close()
-            worker.results.close()
-            if not worker.span.finished:
-                spans.finish(worker.span)
-        pool.clear()
-
-    try:
-        while pending and len(completed) + len(failures) < len(pending):
-            now = time.monotonic()
-            if deadline_at is not None and now > deadline_at:
-                salvaged = True
-                metrics.inc("supervisor.deadline_expired")
-                break
-            while len(pool) < target_workers and \
-                    len(pool) < len(ready) + sum(1 for w in pool.values()
-                                                 if w.busy):
-                spawn()
-            dispatch()
-            conns = {worker.results: worker for worker in pool.values()}
-            if not conns:
-                # Nothing live (everything quarantined mid-reap or all
-                # chunks are backing off): sleep until the next retry.
-                time.sleep(next_wakeup())
-            else:
-                for conn in _connection.wait(list(conns),
-                                             timeout=next_wakeup()):
-                    worker = conns[conn]
-                    if worker.wid not in pool:
-                        continue
-                    try:
-                        while conn.poll():
-                            handle(worker, conn.recv())
-                    except (EOFError, OSError):
-                        metrics.inc("supervisor.worker_crashes")
-                        reap(worker, "worker-crash",
-                             "worker process died (exit code %r)"
-                             % worker.process.exitcode)
-            police(time.monotonic())
-    finally:
-        shutdown()
-
-    if salvaged:
-        # Deadline salvage: whatever never completed is recorded as a
-        # retriable (non-quarantined) failure — resume re-runs it.
-        for index in pending:
-            if index not in completed and index not in failures:
-                failures[index] = ReplicaFailure(
-                    index=index, seed=replica_seed(base_seed, index),
-                    attempts=attempts[index], reason="deadline",
-                    quarantined=False, history=history[index])
-    spans.finish(root, STATUS_ERROR if salvaged else "ok")
-
-    report = {
-        "workers": target_workers,
-        "worker_restarts": restarts,
-        "replicas_completed": len(completed),
-        "replicas_failed": len(failures),
-        "quarantined": sorted(index for index, failure in failures.items()
-                              if failure.quarantined),
-        "salvaged": salvaged,
-        "wall_seconds": clock.now,
-        "metrics": metrics.snapshot(),
-        "spans": [span.as_dict() for span in spans],
-    }
-    return SupervisionOutcome(
-        replicas=[completed[index] for index in sorted(completed)],
-        failures=[failures[index] for index in sorted(failures)],
-        report=report,
-    )
+    pending = list(pending)
+    chunks = shard_chunks(pending, chunk_size)
+    supervisor = _Supervisor(base_seed, pending,
+                             max(1, min(workers, len(chunks))),
+                             supervision, record_failure)
+    chaos = supervision.chaos
+    replicas, reused = _dispatch_warm_pool(
+        spec, base_seed, chunks, workers, pool_warm and not chaos, record,
+        policy=supervisor,
+        before_replica=chaos.before_replica if chaos else None)
+    return supervisor.outcome(replicas, reused)

@@ -103,10 +103,10 @@ def _integral(name, value):
 class SweepConfig:
     """How to run an ensemble: size, pool shape, and dispatch mode.
 
-    ``mode="supervised"`` routes dispatch through
-    :mod:`repro.sim.supervisor` — isolated worker processes with crash
-    recovery, per-replica timeouts, and poison-replica quarantine —
-    instead of the bare ``multiprocessing.Pool``.
+    ``mode="supervised"`` runs the same warm worker pool as
+    ``"parallel"`` under the :mod:`repro.sim.supervisor` policy: crash
+    recovery, per-replica timeouts, and poison-replica quarantine
+    instead of a raised :class:`~repro.sim.errors.SweepWorkerError`.
     """
 
     __slots__ = ("replicas", "workers", "chunk_size", "base_seed", "mode",
@@ -160,14 +160,11 @@ class SweepConfig:
         return "serial"
 
     def resolved_chunk_size(self):
-        """Chunk size balancing dispatch overhead against load balance.
-
-        Four chunks per worker amortises per-task pickling while still
-        smoothing over replicas with uneven runtimes.
-        """
+        """The configured chunk size, else :func:`adaptive_chunk_size`'s
+        unprobed spread."""
         if self.chunk_size is not None:
             return self.chunk_size
-        return max(1, math.ceil(self.replicas / (self.workers * 4)))
+        return adaptive_chunk_size(self.replicas, self.workers, None)
 
     def resolved_fallback_threshold(self):
         """Break-even seconds below which dispatch falls back to serial."""
@@ -344,17 +341,21 @@ class SweepResult:
                    self.wall_seconds))
 
 
-def _dispatch_warm_pool(spec, config, chunks, workers, record, dispatch):
+def _dispatch_warm_pool(spec, base_seed, chunks, workers, pool_warm,
+                        on_replica, policy=None, before_replica=None):
     """Run ``chunks`` on a warm pool, applying the lifecycle policy.
 
-    ``pool_warm=True`` (the default) acquires the process-wide shared
-    pool — reused across sweeps when (spec, base seed, workers) match —
-    and leaves it warm on success *and* after a replica-level
+    ``pool_warm=True`` acquires the process-wide shared pool — reused
+    across sweeps when (spec, base seed, workers) match — and leaves it
+    warm on success *and* after a replica-level
     :class:`SweepWorkerError` (the workers are healthy; only the
-    replica failed).  Anything else escaping mid-dispatch (worker
-    death, ``KeyboardInterrupt``, a manifest write blowing up) leaves
-    chunks in flight, so the pool is terminated outright — no worker
-    process ever outlives a failed sweep.
+    replica failed).  Otherwise a private pool of at most one worker
+    per chunk (carrying the ``before_replica`` test hook, if any) is
+    closed with the sweep.  Anything else escaping mid-dispatch (worker
+    death, ``KeyboardInterrupt``, a manifest write blowing up, a
+    supervision error) leaves chunks in flight, so the pool is
+    terminated outright — no worker process ever outlives a failed
+    sweep.  Returns ``(replicas, reused)``.
     """
     from repro.sim.workerpool import (
         WarmPool,
@@ -362,31 +363,26 @@ def _dispatch_warm_pool(spec, config, chunks, workers, record, dispatch):
         shared_pool,
     )
 
-    if config.pool_warm:
-        pool, reused = shared_pool(spec, config.base_seed, config.workers)
+    if pool_warm:
+        pool, reused = shared_pool(spec, base_seed, workers)
     else:
-        pool, reused = WarmPool(spec, config.base_seed, workers), False
-    dispatch["pool_reused"] = reused
+        pool = WarmPool(spec, base_seed, min(workers, len(chunks)) or 1,
+                        before_replica=before_replica)
+        reused = False
     try:
-        replicas = pool.run(chunks, on_replica=record)
+        replicas = pool.run(chunks, on_replica=on_replica, policy=policy)
     except SweepWorkerError as exc:
         if exc.pool_broken:
-            if config.pool_warm:
-                invalidate_shared_pool(pool)
-            else:
-                pool.terminate()
-        elif not config.pool_warm:
+            invalidate_shared_pool(pool)
+        elif not pool_warm:
             pool.close()
         raise
     except BaseException:
-        if config.pool_warm:
-            invalidate_shared_pool(pool)
-        else:
-            pool.terminate()
+        invalidate_shared_pool(pool)
         raise
-    if not config.pool_warm:
+    if not pool_warm:
         pool.close()
-    return replicas
+    return replicas, reused
 
 
 def run_sweep(spec, config=None, checkpoint_dir=None, resume=False,
@@ -409,8 +405,8 @@ def run_sweep(spec, config=None, checkpoint_dir=None, resume=False,
     uninterrupted sweep, down to the trace digests.
 
     ``supervision`` (a :class:`~repro.sim.supervisor.SupervisorConfig`)
-    or ``mode="supervised"`` routes dispatch through the supervised
-    worker pool: crashes, hangs, and timeouts cost single replica
+    or ``mode="supervised"`` runs the warm worker pool under the
+    supervision policy: crashes, hangs, and timeouts cost single replica
     attempts instead of the ensemble, and poison replicas land as
     :attr:`SweepResult.failures` (quarantine records persist in the
     manifest).  On resume, quarantined replicas are retried by default;
@@ -498,7 +494,9 @@ def run_sweep(spec, config=None, checkpoint_dir=None, resume=False,
                 workers=config.workers, chunk_size=chunk_size,
                 supervision=supervision, record=record,
                 record_failure=(manifest.record_failure
-                                if manifest is not None else None))
+                                if manifest is not None else None),
+                pool_warm=config.pool_warm)
+            dispatch["pool_reused"] = outcome.pool_reused
             replicas = outcome.replicas
             failures = outcome.failures
             supervision_report = outcome.report
@@ -539,8 +537,10 @@ def run_sweep(spec, config=None, checkpoint_dir=None, resume=False,
                         dispatch["probe_seconds"])
                 chunks = shard_chunks(rest, chunk_size)
                 workers_used = min(config.workers, len(chunks)) or 1
-                replicas.extend(_dispatch_warm_pool(
-                    spec, config, chunks, workers_used, record, dispatch))
+                pooled, dispatch["pool_reused"] = _dispatch_warm_pool(
+                    spec, config.base_seed, chunks, config.workers,
+                    config.pool_warm, record)
+                replicas.extend(pooled)
         replicas.sort(key=lambda replica: replica.index)
     failures = sorted(failures + carried_failures,
                       key=lambda failure: failure.index)

@@ -140,7 +140,8 @@ def test_resume_rejects_corrupted_replica_file(tmp_path):
     directory = str(tmp_path / "corrupt")
     run_sweep(_quick("shamoon"), _config(), checkpoint_dir=directory)
     victim = os.path.join(directory, "replica-0001.json")
-    envelope = json.load(open(victim, encoding="utf-8"))
+    with open(victim, encoding="utf-8") as stream:
+        envelope = json.load(stream)
     envelope["state"]["replica"]["trace_records"] += 1
     with open(victim, "w", encoding="utf-8") as stream:
         json.dump(envelope, stream)
@@ -153,7 +154,8 @@ def test_resume_rejects_truncated_replica_file(tmp_path):
     directory = str(tmp_path / "trunc")
     run_sweep(_quick("shamoon"), _config(), checkpoint_dir=directory)
     victim = os.path.join(directory, "replica-0002.json")
-    data = open(victim, encoding="utf-8").read()
+    with open(victim, encoding="utf-8") as stream:
+        data = stream.read()
     with open(victim, "w", encoding="utf-8") as stream:
         stream.write(data[:80])
     with pytest.raises(CheckpointError, match="cannot read"):

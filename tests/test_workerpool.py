@@ -12,7 +12,10 @@ These tests pin the lifecycle contract from
   ``KeyboardInterrupt``, a worker *process* dying — terminates the
   pool outright, so no worker survives a failed sweep;
 * the shared pool is genuinely reused across sweeps, and
-  ``shutdown_shared_pool`` (the atexit hook) reaps it.
+  ``shutdown_shared_pool`` (the atexit hook) reaps it;
+* supervised sweeps run on the same pool: they reuse it, replace the
+  workers they kill, and charge a worker found dead at dispatch as a
+  crash attempt instead of letting the broken pipe escape.
 """
 
 import multiprocessing
@@ -23,11 +26,13 @@ import pytest
 from repro.core.ensemble import CampaignSpec, replica_seed, run_replica
 from repro.core.resume import SweepCheckpoint
 from repro.sim.errors import SweepWorkerError
+from repro.sim.supervisor import ChaosPlan, SupervisorConfig
 from repro.sim.sweep import SweepConfig, run_sweep
 from repro.sim.workerpool import (
     WarmPool,
     decode_replica_row,
     encode_replica_row,
+    shared_pool,
     shutdown_shared_pool,
 )
 
@@ -39,12 +44,12 @@ POISON_SPEC = CampaignSpec.quick("stuxnet", fault_profile="flaky-network",
                                  fault_params={"bogus": 1})
 
 
-def warm_worker_count(timeout=3.0):
-    """Live ``sweep-warm-*`` children, waiting briefly for reaping."""
+def warm_worker_count(timeout=3.0, prefix="sweep-warm-"):
+    """Live ``prefix*`` children, waiting briefly for reaping."""
     deadline = time.monotonic() + timeout
     while True:
         workers = [process for process in multiprocessing.active_children()
-                   if process.name.startswith("sweep-warm-")]
+                   if process.name.startswith(prefix)]
         count = len(workers)
         if count == 0 or time.monotonic() >= deadline:
             return count
@@ -154,6 +159,76 @@ def test_warm_pool_context_manager_reaps_on_error():
             assert pool.alive()
             raise KeyboardInterrupt
     assert warm_worker_count() == 0
+
+
+# -- supervised sweeps on the same substrate -----------------------------------
+
+def supervised_config(**overrides):
+    return pool_config(mode="supervised", **overrides)
+
+
+def supervision_counter(result, name):
+    metric = result.supervision["metrics"].get(name)
+    return metric["value"] if metric else 0
+
+
+def test_supervised_sweeps_reuse_the_shared_pool():
+    first = run_sweep(SPEC, supervised_config())
+    second = run_sweep(SPEC, supervised_config())
+    assert first.dispatch["pool_reused"] is False
+    assert second.dispatch["pool_reused"] is True
+    assert first.digests() == second.digests()
+    # Plain warm-pool dispatch of the same spec lands on the same pool.
+    plain = run_sweep(SPEC, pool_config())
+    assert plain.dispatch["pool_reused"] is True
+    assert warm_worker_count(timeout=0.0) == 2
+
+
+def test_supervised_crash_and_timeout_leave_no_sweep_process():
+    # A chaos plan forces a private pool, closed with its sweep.
+    crashed = run_sweep(
+        SPEC, supervised_config(),
+        supervision=SupervisorConfig(chaos=ChaosPlan({1: ("crash",)})))
+    assert crashed.complete()
+    assert supervision_counter(crashed, "supervisor.worker_crashes") == 1
+    assert warm_worker_count(prefix="sweep-") == 0
+    # A paper-scale Stuxnet replica runs for seconds, so a 0.3 s timeout
+    # kills both workers of the shared pool mid-replica.
+    timed_out = run_sweep(
+        CampaignSpec("stuxnet"), supervised_config(replicas=2),
+        supervision=SupervisorConfig(replica_timeout=0.3,
+                                     max_replica_retries=0))
+    assert [f.reason for f in timed_out.failures] == ["timeout", "timeout"]
+    # The killed workers were replaced: the shared pool stays whole and
+    # warm, and holds nothing but idle sweep-warm workers.
+    assert warm_worker_count(timeout=0.0, prefix="sweep-") == 2
+    assert warm_worker_count(timeout=0.0) == 2
+    shutdown_shared_pool()
+    assert warm_worker_count(prefix="sweep-") == 0
+
+
+def test_worker_killed_while_idle_is_charged_a_crash_attempt(monkeypatch):
+    serial = run_sweep(SPEC, pool_config(mode="serial"))
+    shared_pool(SPEC, 42, 2)
+    victim = next(process for process in multiprocessing.active_children()
+                  if process.name.startswith("sweep-warm-"))
+    victim.kill()
+    victim.join(timeout=5.0)
+    assert not victim.is_alive()
+    # Simulate the liveness check racing the death: the sweep reuses
+    # the pool and finds the dead worker only when it sends a chunk.
+    monkeypatch.setattr(WarmPool, "alive", lambda self: True)
+    result = run_sweep(SPEC, supervised_config())
+    assert result.dispatch["pool_reused"] is True
+    assert result.complete()
+    assert result.digests() == serial.digests()
+    assert supervision_counter(result, "supervisor.worker_crashes") == 1
+    assert supervision_counter(result, "supervisor.replica_retries") == 1
+    retries = [span["attrs"] for span in result.supervision["spans"]
+               if span["name"] == "supervisor.retry"]
+    assert [(attrs["reason"], attrs["attempt"]) for attrs in retries] == \
+        [("worker-crash", 1)]
+    assert warm_worker_count(timeout=0.0) == 2
 
 
 # -- direct pool use and the row codec -----------------------------------------
